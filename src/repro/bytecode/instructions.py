@@ -82,7 +82,7 @@ class Instruction:
     @property
     def size(self) -> int:
         """Encoded size in bytes."""
-        return self.info.size
+        return OPCODE_TABLE[self.opcode].size
 
     @property
     def mnemonic(self) -> str:

@@ -24,7 +24,7 @@ Operand kinds
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 __all__ = [
@@ -128,6 +128,8 @@ class OpcodeInfo:
         is_conditional: True for branches that may fall through.
         is_call: True for ``CALL``.
         is_return: True for ``RETURN``/``IRETURN``.
+        size: Encoded size in bytes (one opcode byte plus the
+            operands), computed once at construction.
     """
 
     mnemonic: str
@@ -138,11 +140,11 @@ class OpcodeInfo:
     is_conditional: bool = False
     is_call: bool = False
     is_return: bool = False
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        """Encoded size in bytes: one opcode byte plus the operands."""
-        return 1 + sum(operand_size(kind) for kind in self.operands)
+    def __post_init__(self) -> None:
+        size = 1 + sum(operand_size(kind) for kind in self.operands)
+        object.__setattr__(self, "size", size)
 
 
 def _cond(mnemonic: str, pops: int) -> OpcodeInfo:

@@ -38,7 +38,7 @@ from .members import (
     MethodInfo,
 )
 
-__all__ = ["serialize", "deserialize"]
+__all__ = ["intern_names", "serialize", "deserialize"]
 
 _U1 = struct.Struct(">B")
 _U2 = struct.Struct(">H")
@@ -318,15 +318,18 @@ def _read_method(reader: _Reader, pool: ConstantPool) -> MethodInfo:
     )
 
 
-def serialize(classfile: ClassFile) -> bytes:
-    """Serialize a class file to its binary wire image."""
+def intern_names(classfile: ClassFile) -> None:
+    """Intern every name the wire image refers to into the pool.
+
+    :func:`serialize` runs this pass first, so the pool is complete
+    before its count is written and the write pass interns nothing
+    new.  Layout accounting runs it alone to size the pool without
+    encoding the class.  Idempotent: a second call adds no entry.
+    """
     pool = classfile.constant_pool
-    # Intern every name up front so the pool is complete before its
-    # count is written.
-    this_class = _class_index(pool, classfile.name)
-    interface_indexes = [
-        _class_index(pool, name) for name in classfile.interfaces
-    ]
+    _class_index(pool, classfile.name)
+    for name in classfile.interfaces:
+        _class_index(pool, name)
     for field_info in classfile.fields:
         _utf8_index(pool, field_info.name)
         _utf8_index(pool, field_info.descriptor)
@@ -342,6 +345,16 @@ def serialize(classfile: ClassFile) -> bytes:
             _utf8_index(pool, attribute.name)
     for attribute in classfile.attributes:
         _utf8_index(pool, attribute.name)
+
+
+def serialize(classfile: ClassFile) -> bytes:
+    """Serialize a class file to its binary wire image."""
+    intern_names(classfile)
+    pool = classfile.constant_pool
+    this_class = _class_index(pool, classfile.name)
+    interface_indexes = [
+        _class_index(pool, name) for name in classfile.interfaces
+    ]
 
     writer = _Writer()
     writer.u4(MAGIC)

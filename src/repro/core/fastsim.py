@@ -11,9 +11,7 @@ loop over preallocated arrays:
 
 * the trace is **precompiled** once into flat arrays (per-segment
   execution cost in cycles, first-use markers with their resolved
-  transfer units) — numpy-accelerated when available, with a
-  pure-Python ``array``/list fallback behind one feature flag
-  (``REPRO_FASTSIM_NUMPY=0`` forces the fallback);
+  transfer units);
 * the paper's two single-link methodologies get **specialized cores**
   (single-stream for interleaved/strict, processor-sharing for
   parallel) that inline the :class:`~repro.transfer.streams.StreamEngine`
@@ -41,7 +39,6 @@ falls back to the reference loop (which emits the event stream), so
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from typing import (
@@ -68,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..vm import ExecutionTrace
     from .simulation import Simulator
 
-__all__ = ["ENGINES", "numpy_enabled", "compile_trace", "run_batched"]
+__all__ = ["ENGINES", "compile_trace", "run_batched"]
 
 #: The engine identifiers the ``engine=`` switches accept.
 ENGINES = ("reference", "batched")
@@ -80,23 +77,6 @@ _EPSILON = 1e-6
 #: noise in the recomputed dependency sums can never postpone a check
 #: past the boundary where the reference engine would admit the stream.
 _RELEASE_SLACK = 1e-3
-
-
-def numpy_enabled() -> bool:
-    """Whether the numpy acceleration path is active.
-
-    Controlled by the ``REPRO_FASTSIM_NUMPY`` feature flag: ``0`` /
-    ``off`` / ``false`` / ``no`` force the pure-Python fallback;
-    anything else (including unset) uses numpy when importable.
-    """
-    flag = os.environ.get("REPRO_FASTSIM_NUMPY", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is in the test deps
-        return False
-    return True
 
 
 class CompiledTrace:
@@ -132,31 +112,15 @@ def compile_trace(
 ) -> CompiledTrace:
     """Flatten a trace into the batched cores' preallocated arrays.
 
-    The cost array is built vectorized when numpy is enabled
-    (``int64 → float64`` conversion is exact for every realistic
-    instruction count, and the elementwise multiply is the same IEEE
-    operation the reference performs per segment), else through a
-    pure-Python ``array('d')`` fallback with identical values.
+    Each cost is ``instructions × CPI``, the same IEEE multiply the
+    reference performs per segment.
     """
     segments = trace.segments
     count = len(segments)
     cpi = float(cpi)
-    costs: Sequence[float]
-    if numpy_enabled():
-        import numpy
-
-        instruction_counts = numpy.fromiter(
-            (segment.instructions for segment in segments),
-            dtype=numpy.int64,
-            count=count,
-        )
-        # .tolist() yields plain Python floats: scalar indexing in the
-        # hot loop is faster on a list than on an ndarray.
-        costs = (instruction_counts * cpi).tolist()
-    else:
-        costs = array(
-            "d", (segment.instructions * cpi for segment in segments)
-        ).tolist()
+    costs = array(
+        "d", (segment.instructions * cpi for segment in segments)
+    ).tolist()
     first_use: List[Optional[Tuple[MethodId, TransferUnit]]] = (
         [None] * count
     )

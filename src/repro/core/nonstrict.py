@@ -143,7 +143,7 @@ def run_nonstrict(
             collecting the run's event stream on the cycle clock.
         engine: ``"reference"`` or ``"batched"`` (cycle-exact fast
             path; see :mod:`repro.core.fastsim`); ``None`` defers to
-            ``REPRO_SIM_ENGINE``.
+            ``REPRO_SIM_ENGINE``, default ``"batched"``.
 
     Returns:
         The :class:`~repro.core.simulation.SimulationResult`.

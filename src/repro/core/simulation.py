@@ -42,11 +42,11 @@ def resolve_engine(engine: Optional[str]) -> str:
     """Resolve an ``engine=`` argument to a concrete engine name.
 
     ``None`` falls back to the ``REPRO_SIM_ENGINE`` environment
-    variable, then to ``"reference"``.  The batched engine is
+    variable, then to ``"batched"``.  The batched engine is
     cycle-exact (see :mod:`repro.core.fastsim`), so either choice
     produces identical results — only wall-clock differs.
     """
-    resolved = engine or os.environ.get("REPRO_SIM_ENGINE") or "reference"
+    resolved = engine or os.environ.get("REPRO_SIM_ENGINE") or "batched"
     if resolved not in _ENGINES:
         raise SimulationError(
             f"unknown simulation engine {resolved!r}; pick from {_ENGINES}"
@@ -136,7 +136,7 @@ class Simulator:
             or ``"batched"`` (the event-batched hot path in
             :mod:`repro.core.fastsim` — cycle-exact, ~10× faster).
             ``None`` defers to ``REPRO_SIM_ENGINE``, default
-            ``"reference"``.  Recorded runs always use the reference
+            ``"batched"``.  Recorded runs always use the reference
             loop so the event stream (and the recorder's zero-cost
             disabled path) is untouched.
     """

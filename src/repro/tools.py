@@ -941,7 +941,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="simulation engine: the cycle-exact batched fast path or "
         "the reference per-segment loop (default: REPRO_SIM_ENGINE "
-        "or reference)",
+        "or batched)",
     )
     simulate.add_argument(
         "--links",

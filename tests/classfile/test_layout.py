@@ -1,5 +1,7 @@
 """Layout accounting must agree with the serializer byte-for-byte."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from repro.classfile import (
     serialize,
 )
 from repro.errors import ClassFileError
+from repro.harness import BENCHMARK_NAMES
+from repro.workloads.synthetic import generate_workload
 
 
 def build_class(method_count=3, local_data=b"", field_count=2):
@@ -119,3 +123,20 @@ def test_layout_serializer_agreement_property(
     layout = class_layout(classfile)
     assert layout.strict_size == len(serialize(classfile))
     assert layout.global_size + layout.local_bytes <= layout.strict_size
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_layout_needs_no_serialize_on_paper_workloads(name):
+    # An uncached generation: nothing has laid out or serialized these
+    # classes yet, so their pools still lack the attribute names.
+    program = generate_workload.__wrapped__(name, None).program
+    for fresh in program.classes:
+        serialized = copy.deepcopy(fresh)
+        wire = serialize(serialized)
+        layout = class_layout(fresh)
+        assert layout == class_layout(serialized)
+        assert layout.strict_size == len(wire)
+        assert serialize(fresh) == wire
+        pool_entries = len(fresh.constant_pool)
+        assert class_layout(fresh) == layout
+        assert len(fresh.constant_pool) == pool_entries
