@@ -12,13 +12,14 @@ loop over preallocated arrays:
 * the trace is **precompiled** once into flat arrays (per-segment
   execution cost in cycles, first-use markers with their resolved
   transfer units);
-* the paper's two single-link methodologies get **specialized cores**
+* the paper's single-link methodologies get **specialized cores**
   (single-stream for interleaved/strict, processor-sharing for
   parallel) that inline the :class:`~repro.transfer.streams.StreamEngine`
-  event loop into local-variable arithmetic;
-* any other controller (the multi-link :mod:`repro.sched` engines, for
-  example) runs through a **generic batched loop** that keeps the
-  controller/engine objects but hoists the per-segment bookkeeping.
+  event loop into local-variable arithmetic.
+
+Only those three controller types enter this module; any other
+controller (the multi-link :mod:`repro.sched` engine, subclasses) runs
+the reference loop in :meth:`~repro.core.simulation.Simulator.run`.
 
 Fidelity contract: the batched cores perform *bit-for-bit the same
 float operations in the same order* as the reference engine, so
@@ -154,21 +155,20 @@ def _compiled_for(simulator: "Simulator") -> CompiledTrace:
     return compiled
 
 
-def run_batched(simulator: "Simulator") -> SimulationResult:
-    """Run one co-simulation on the batched engine.
+def run_batched(simulator: "Simulator") -> Optional[SimulationResult]:
+    """Run one co-simulation on the batched engine, if it has a core.
 
     Dispatches to the specialized single-stream or processor-sharing
-    core when the controller is one of the paper's single-link
-    methodologies, and to the generic batched loop otherwise.
+    core when the controller is exactly one of the paper's single-link
+    methodologies; returns ``None`` for any other controller, which
+    the caller then runs on the reference loop.
     """
-    compiled = _compiled_for(simulator)
-    controller = simulator.controller
-    kind = type(controller)
+    kind = type(simulator.controller)
     if kind is InterleavedController or kind is StrictSequentialController:
-        return _run_single_stream(simulator, compiled)
+        return _run_single_stream(simulator, _compiled_for(simulator))
     if kind is ParallelController:
-        return _run_parallel(simulator, compiled)
-    return _run_generic(simulator, compiled)
+        return _run_parallel(simulator, _compiled_for(simulator))
+    return None
 
 
 def _report(
@@ -625,81 +625,6 @@ def _run_parallel(
         invocation_latency=entries[0].latency if entries else 0.0,
         bytes_delivered=total_delivered,
         bytes_terminated=pending_bytes + queued_bytes,
-        stalls=stalls,
-        controller_name=controller.name,
-        latencies=_report(entries),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Generic batched loop: any controller/engine pair (striped, custom)
-# ---------------------------------------------------------------------------
-
-
-def _run_generic(
-    simulator: "Simulator", compiled: CompiledTrace
-) -> SimulationResult:
-    """Batched outer loop over an unmodified controller + engine.
-
-    Used for controllers without a specialized core (multi-link
-    striping, subclasses).  The engine still advances through exactly
-    the same ``run_until`` boundaries as the reference — only the
-    per-segment bookkeeping (required-unit resolution, first-use
-    detection, O(n) latency recording) is precompiled away.
-    """
-    controller = simulator.controller
-    engine = controller.build_engine(simulator.link)
-    controller.setup(engine)
-    wakeup = controller.next_wakeup
-    on_advance = controller.on_advance
-    run_until = engine.run_until
-    arrived = engine.arrived
-
-    time = 0.0
-    stall_cycles = 0.0
-    stalls: List[StallEvent] = []
-    entries: List[MethodInvocationLatency] = []
-
-    costs = compiled.costs
-    first_use = compiled.first_use
-    for index in range(len(costs)):
-        pair = first_use[index]
-        if pair is not None:
-            method, unit = pair
-            if not arrived(unit):
-                controller.on_stall(engine, method)
-                arrival = engine.run_until_unit(
-                    unit, wakeup=wakeup, on_advance=on_advance
-                )
-                if arrival < time:
-                    arrival = time
-                stalls.append(
-                    StallEvent(
-                        method=method,
-                        start=time,
-                        duration=arrival - time,
-                    )
-                )
-                stall_cycles += arrival - time
-                time = arrival
-            entries.append(
-                MethodInvocationLatency(
-                    method=method,
-                    latency=time,
-                    demand_fetched=method
-                    in getattr(controller, "demand_fetches", ()),
-                )
-            )
-        time = time + costs[index]
-        run_until(time, wakeup=wakeup, on_advance=on_advance)
-
-    return SimulationResult(
-        total_cycles=time,
-        execution_cycles=compiled.total_cost_basis * simulator.cpi,
-        stall_cycles=stall_cycles,
-        invocation_latency=entries[0].latency if entries else 0.0,
-        bytes_delivered=engine.total_delivered,
-        bytes_terminated=engine.remaining_bytes,
         stalls=stalls,
         controller_name=controller.name,
         latencies=_report(entries),

@@ -136,8 +136,10 @@ class Simulator:
             or ``"batched"`` (the event-batched hot path in
             :mod:`repro.core.fastsim` — cycle-exact, ~10× faster).
             ``None`` defers to ``REPRO_SIM_ENGINE``, default
-            ``"batched"``.  Recorded runs always use the reference
-            loop so the event stream (and the recorder's zero-cost
+            ``"batched"``.  Only the paper's interleaved, strict and
+            parallel controllers have a batched core; any other
+            controller, and every recorded run, uses the reference
+            loop, so the event stream (and the recorder's zero-cost
             disabled path) is untouched.
     """
 
@@ -166,7 +168,9 @@ class Simulator:
         if self.engine == "batched" and self.recorder is None:
             from .fastsim import run_batched
 
-            return run_batched(self)
+            result = run_batched(self)
+            if result is not None:
+                return result
         engine = self.controller.build_engine(self.link)
         controller = self.controller
         recorder = self.recorder

@@ -91,6 +91,10 @@ __all__ = ["TokenBucket", "ClassFileServer", "REORDER_STRATEGIES"]
 #: Reorder strategies a client may request in its ``HELLO``.
 REORDER_STRATEGIES = ("static", "textual", "profile", "weighted")
 
+#: Longest a push session stays open after its ``EOF``, waiting for the
+#: client to close its side (see :meth:`ClassFileServer._linger`).
+LINGER_SECONDS = 5.0
+
 
 class TokenBucket:
     """Paces sends to ``rate`` bytes/second with a bounded burst.
@@ -619,11 +623,12 @@ class ClassFileServer:
     ) -> None:
         """Drain ``pending`` to the wire, pacing through the buckets.
 
-        Push sessions send the negotiated sequence then ``EOF``.  Pull
-        sessions start with an empty deque and sleep on ``wake`` until
-        the demand loop promotes units into it; they end — without an
-        ``EOF`` — when ``reader_done`` is set (client closed its side)
-        and nothing is left to send.
+        Push sessions send the negotiated sequence then ``EOF``, and
+        linger until the client closes.  Pull sessions start with an
+        empty deque and sleep on ``wake`` until the demand loop
+        promotes units into it; they end — without an ``EOF`` — when
+        ``reader_done`` is set (client closed its side) and nothing is
+        left to send.
         """
         conn_bucket = (
             TokenBucket(self.per_connection_bandwidth, burst=self.burst)
@@ -657,6 +662,29 @@ class ClassFileServer:
             writer, eof, conn, faults, kind="EOF"
         ):
             return
+        if reader_done is not None:
+            await self._linger(writer, reader_done)
+
+    @staticmethod
+    async def _linger(
+        writer: asyncio.StreamWriter, reader_done: asyncio.Event
+    ) -> None:
+        """Half-close after ``EOF``; wait for the client to close.
+
+        A client's ``DEMAND_FETCH`` can cross the ``EOF`` on the wire.
+        Closing the socket with that frame unread makes the kernel
+        answer with a reset, which discards every frame the client has
+        not read yet.  So the demand loop keeps draining until the
+        client closes its side, for at most :data:`LINGER_SECONDS`.
+        The half-close still ends the stream for a client whose
+        ``EOF`` frame a fault plan dropped.
+        """
+        if writer.can_write_eof():
+            writer.write_eof()
+        try:
+            await asyncio.wait_for(reader_done.wait(), LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     async def _transmit(
         self,

@@ -438,18 +438,14 @@ def run_striped(
     escalate: bool = True,
     restructure: bool = True,
     recorder: Optional["TraceRecorder"] = None,
-    engine: Optional[str] = None,
 ) -> "SimulationResult":
     """Co-simulate one striped configuration end to end.
 
     The multi-link twin of :func:`repro.core.run_nonstrict`: the
     program is restructured into first-use order (unless
     ``restructure=False``), a :class:`StripedController` is built
-    over the link set, and the co-simulator replays the trace.
-    ``engine="batched"`` routes the run through the generic batched
-    loop in :mod:`repro.core.fastsim` (the :class:`IssueEngine` still
-    advances through identical event boundaries, so results are
-    cycle-exact).
+    over the link set, and the co-simulator's reference loop replays
+    the trace (the batched engine has no multi-link core).
 
     Returns:
         The :class:`repro.core.SimulationResult`.
@@ -478,6 +474,5 @@ def run_striped(
         links[0],
         cpi,
         recorder=recorder,
-        engine=engine,
     )
     return simulator.run()

@@ -352,7 +352,6 @@ def _cmd_simulate(arguments) -> int:
             policy=arguments.sched_policy,
             max_streams=arguments.streams,
             data_partitioning=arguments.partition,
-            engine=arguments.engine,
         )
         print(
             f"striped links:     "
@@ -941,7 +940,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="simulation engine: the cycle-exact batched fast path or "
         "the reference per-segment loop (default: REPRO_SIM_ENGINE "
-        "or batched)",
+        "or batched); --links runs always use the reference loop",
     )
     simulate.add_argument(
         "--links",

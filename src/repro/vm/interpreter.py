@@ -23,13 +23,6 @@ __all__ = ["VirtualMachine", "ExecutionResult"]
 
 _INT_MASK = 0xFFFFFFFF
 
-#: Dispatch strategies.  "reference" is the classic decode-each-time
-#: loop below; "threaded" precompiles methods into handler closures
-#: (:mod:`repro.vm.threaded`); "auto" picks threaded exactly when no
-#: instruments are attached (instruments need per-instruction
-#: callbacks, which only the reference loop provides).
-_DISPATCHES = ("auto", "reference", "threaded")
-
 
 def _int32(value: int) -> int:
     """Wrap to signed 32-bit, Java-style."""
@@ -82,10 +75,6 @@ class VirtualMachine:
         instruments: BIT-style observers (see :mod:`repro.vm.instrument`).
         max_instructions: Safety limit; exceeding it raises VMError.
         rng_seed: Seed for the ``SYS RAND`` intrinsic.
-        dispatch: ``"auto"`` (default — threaded when uninstrumented),
-            ``"reference"``, or ``"threaded"``.  Both strategies are
-            observably identical; forcing ``"threaded"`` with
-            instruments attached is an error.
     """
 
     def __init__(
@@ -94,21 +83,9 @@ class VirtualMachine:
         instruments: Sequence[Instrument] = (),
         max_instructions: int = 50_000_000,
         rng_seed: int = 0x5EED,
-        dispatch: str = "auto",
     ) -> None:
-        if dispatch not in _DISPATCHES:
-            raise VMError(
-                f"unknown dispatch {dispatch!r}; "
-                f"pick from {_DISPATCHES}"
-            )
-        if dispatch == "threaded" and instruments:
-            raise VMError(
-                "threaded dispatch cannot drive per-instruction "
-                "instruments; use dispatch='reference' or 'auto'"
-            )
         self.program = program
         self.instruments = list(instruments)
-        self.dispatch = dispatch
         self.max_instructions = max_instructions
         self.globals: Dict[Tuple[str, str], Any] = {}
         self.output: List[Any] = []
@@ -143,14 +120,7 @@ class VirtualMachine:
         for instrument in self.instruments:
             instrument.on_start(self.program)
         self._push_frame(entry_id, list(args))
-        if self.dispatch == "threaded" or (
-            self.dispatch == "auto" and not self.instruments
-        ):
-            from .threaded import dispatch_threaded
-
-            dispatch_threaded(self)
-        else:
-            self._dispatch_loop()
+        self._dispatch_loop()
         for instrument in self.instruments:
             instrument.on_halt()
         return ExecutionResult(

@@ -21,8 +21,7 @@ from repro.errors import SimulationError
 from repro.harness import BENCHMARK_NAMES, bundle
 from repro.observe import TraceRecorder
 from repro.reorder import estimate_first_use
-from repro.sched import run_striped
-from repro.transfer import MODEM_LINK, T1_LINK, links_from_bandwidths
+from repro.transfer import MODEM_LINK, T1_LINK
 from repro.vm import record_run
 from repro.workloads import figure1_program
 
@@ -78,25 +77,6 @@ def test_engine_equivalence(name, method, ordering):
         **kwargs,
     )
     assert _key(reference) == _key(batched)
-
-
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_striped_equivalence(name):
-    item = bundle(name)
-    workload = item.workload
-    links = links_from_bandwidths((57_600, 28_800))
-    results = [
-        run_striped(
-            workload.program,
-            workload.test_trace,
-            item.order("SCG"),
-            links,
-            workload.cpi,
-            engine=engine,
-        )
-        for engine in ("reference", "batched")
-    ]
-    assert _key(results[0]) == _key(results[1])
 
 
 def test_data_partitioned_equivalence():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bytecode import SysCall, assemble
 from repro.classfile import ClassFileBuilder
-from repro.errors import StackUnderflowError, VMError
+from repro.errors import ConstantPoolError, StackUnderflowError, VMError
 from repro.program import MethodId, Program
 from repro.vm import VirtualMachine
 from repro.workloads import (
@@ -203,8 +203,10 @@ def test_instruction_limit_enforced():
     )
     program = Program(classes=[builder.build()])
     machine = VirtualMachine(program, max_instructions=1000)
-    with pytest.raises(VMError):
+    with pytest.raises(VMError, match="instruction limit 1000 exceeded"):
         machine.run()
+    # The instruction past the limit is counted, then refused.
+    assert machine.instructions_executed == 1001
 
 
 def test_sys_halt_stops_execution():
@@ -270,3 +272,64 @@ def test_deep_recursion_overflows():
     program = Program(classes=[builder.build()])
     with pytest.raises(VMError):
         VirtualMachine(program).run()
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("iconst 1\npop", "fell off the end"),
+        ("load 200\nreturn", "unallocated local 200"),
+        ("iconst 5\narraylen\nreturn", "non-array"),
+        ("iconst 1\nsys 99\nreturn", "unknown SYS code 99"),
+    ],
+)
+def test_runtime_errors(source, message):
+    with pytest.raises(VMError, match=message):
+        run_main(source)
+
+
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        ("goto 1", VMError, "non-boundary offset"),
+        ("ldc 99", ConstantPoolError, "index 99 out of range"),
+    ],
+)
+@pytest.mark.parametrize("executed", [False, True])
+def test_bad_operand_raises_only_when_executed(
+    bad, error, message, executed
+):
+    source = f"""
+        iconst {0 if executed else 1}
+        ifne skip
+        {bad}
+    skip:
+        iconst 5
+        sys {SysCall.PRINT}
+        return
+    """
+    if executed:
+        with pytest.raises(error, match=message):
+            run_main(source)
+    else:
+        assert run_main(source).output == [5]
+
+
+def test_entry_args_bind_to_locals():
+    builder = ClassFileBuilder("T")
+    builder.add_method(
+        "main", "(II)I", assemble("load 0\nload 1\nmul\nireturn")
+    )
+    program = Program(classes=[builder.build()])
+    result = VirtualMachine(program).run(
+        entry=MethodId("T", "main"), args=(6, 7)
+    )
+    # The entry method's return value goes to the output.
+    assert result.output == [42]
+
+
+def test_run_leaves_program_state_unchanged():
+    program = figure1_program()
+    before = dict(vars(program))
+    VirtualMachine(program).run()
+    assert vars(program) == before
