@@ -60,7 +60,7 @@ from ..errors import (
 )
 from ..faults.rng import derive_rng
 from ..program import MethodId
-from ..sched import IssueItem, ItemState, Scoreboard
+from ..sched import ItemState, Scoreboard, unit_board
 from ..transfer import TransferUnit, UnitKind
 from .protocol import (
     Frame,
@@ -225,8 +225,6 @@ class StripedResilientFetcher(ResilientFetcher):
         ]
         self._board: Optional[Scoreboard] = None
         self._unit_by_key: Dict[UnitKey, TransferUnit] = {}
-        self._label_by_key: Dict[UnitKey, str] = {}
-        self._lead_key_of_class: Dict[str, UnitKey] = {}
         #: Hedge races in flight: wire key -> (primary link, hedge link).
         self._hedges: Dict[UnitKey, Tuple[int, int]] = {}
         self._dispatch_lock = asyncio.Lock()
@@ -401,10 +399,11 @@ class StripedResilientFetcher(ResilientFetcher):
     def _build_board(self) -> None:
         """One issue grain per manifest unit, plus retire hazards.
 
-        Mirrors :meth:`repro.sched.StripedController._build_scoreboard`:
-        a class's leading global unit is a retire dependency of every
-        other unit of the class, so out-of-order landings never make a
-        method observable before its global data.
+        The same :func:`repro.sched.unit_board` the simulator's
+        :class:`~repro.sched.StripedController` drives: a class's
+        leading global unit is a retire dependency of every other unit
+        of the class, so out-of-order landings never make a method
+        observable before its global data.
         """
         units: List[TransferUnit] = []
         for row in self.manifest.get("sequence", []):
@@ -427,34 +426,9 @@ class StripedResilientFetcher(ResilientFetcher):
                     ),
                 )
             )
-        board = Scoreboard()
-        leading: Dict[str, TransferUnit] = {}
         for unit in units:
-            if unit.kind in (
-                UnitKind.GLOBAL_DATA,
-                UnitKind.GLOBAL_FIRST,
-            ):
-                leading.setdefault(unit.class_name, unit)
-        for seq, unit in enumerate(units):
-            tail = (
-                unit.method.method_name
-                if unit.method is not None
-                else unit.kind.value
-            )
-            label = f"{seq}:{unit.class_name}.{tail}"
-            board.add_item(
-                IssueItem(label=label, units=(unit,), seq=seq)
-            )
-            key = unit_wire_key(unit)
-            self._unit_by_key[key] = unit
-            self._label_by_key[key] = label
-            lead = leading.get(unit.class_name)
-            if lead is not None:
-                if unit is lead:
-                    self._lead_key_of_class[unit.class_name] = key
-                else:
-                    board.add_unit_dep(unit, lead)
-        self._board = board
+            self._unit_by_key[unit_wire_key(unit)] = unit
+        self._board = unit_board(units)
 
     # -- arbitration and issue --------------------------------------------
 
@@ -502,7 +476,7 @@ class StripedResilientFetcher(ResilientFetcher):
             if board is None:
                 return
             while not self._eof.is_set():
-                ready = board.ready_items(lambda item: 0.0)
+                ready = board.ready_items()
                 if not ready:
                     return
                 link = self._pick_link()
@@ -900,23 +874,13 @@ class StripedResilientFetcher(ResilientFetcher):
                 return unit_wire_key(unit)
         return None
 
-    def _escalate_for(
-        self, method_id: MethodId, key: Optional[UnitKey]
-    ) -> None:
+    def _escalate_for(self, key: Optional[UnitKey]) -> None:
         board = self._board
-        if board is None or key is None:
+        unit = self._unit_by_key.get(key) if key is not None else None
+        if board is None or unit is None:
             return
-        labels = []
-        label = self._label_by_key.get(key)
-        if label is not None:
-            labels.append(label)
-        lead_key = self._lead_key_of_class.get(method_id.class_name)
-        if lead_key is not None and lead_key != key:
-            lead_label = self._label_by_key.get(lead_key)
-            if lead_label is not None:
-                labels.append(lead_label)
-        for entry in labels:
-            board.escalate(entry)
+        for needed in (unit, *board.retire_deps(unit)):
+            board.escalate(board.label_of(needed))
 
     async def _fire_hedge(
         self, method_id: MethodId, key: Optional[UnitKey]
@@ -927,10 +891,10 @@ class StripedResilientFetcher(ResilientFetcher):
         if key in self._hedges:
             return
         board = self._board
-        label = self._label_by_key.get(key)
-        if board is None or label is None:
+        unit = self._unit_by_key.get(key)
+        if board is None or unit is None:
             return
-        item = board.items[label]
+        item = board.item_for_unit(unit)
         if item.state is not ItemState.ISSUED or item.channel is None:
             return  # not in flight; escalation re-issues it instead
         link = self._pick_hedge_link(exclude=item.channel)
@@ -945,7 +909,7 @@ class StripedResilientFetcher(ResilientFetcher):
                 method=method_id.method_name,
             )
         self._hedges[key] = (item.channel, link.index)
-        link.in_flight.setdefault(key, (label, time.monotonic()))
+        link.in_flight.setdefault(key, (item.label, time.monotonic()))
         await self._send_request(link, key)
 
     def _pick_hedge_link(self, exclude: int) -> Optional[_Link]:
@@ -984,7 +948,7 @@ class StripedResilientFetcher(ResilientFetcher):
         self._demanded.add(method_id)
         key = self._needed_key(method_id)
         for attempt in range(self.demand_retries):
-            self._escalate_for(method_id, key)
+            self._escalate_for(key)
             await self._dispatch()
             self.stats.record_demand_fetch()
             if self.recorder is not None:

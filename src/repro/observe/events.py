@@ -25,8 +25,8 @@ Taxonomy (the paper's per-method timeline, Tables 4–7, as events):
   to a one-shot strict whole-file transfer;
 * ``analysis_finding`` — the static analyzer reported a lint finding;
 * ``unit_issued`` — the scoreboard issue engine dispatched a transfer
-  unit (or stream grain) to a network link;
-* ``link_busy`` — one link's occupancy span for one issued grain
+  unit to a network link;
+* ``link_busy`` — one link's occupancy span for one issued unit
   (phase ``"X"`` spans from issue to landing);
 * ``stripe_rebalance`` — the multi-link issue engine redistributed
   work (demand escalation or a link outage);

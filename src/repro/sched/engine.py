@@ -15,34 +15,20 @@ an external wake-up).  At every boundary it:
    its hazard dependencies — never its raw landing);
 2. processes link outages: the dead link's in-flight units go back to
    ``READY`` and retransmit on the survivors;
-3. dispatches: asks the scoreboard for the ready set and issues
-   grains to links under the configured arbitration.
-
-Two dispatch grains exist.  ``"stream"`` issues whole in-order unit
-streams and admits every ready item at once (the 1-link parallel /
-interleaved fidelity modes — byte-for-byte equivalent to the original
-controllers by construction, since a single link sees the identical
-request sequence on an identical engine).  ``"unit"`` issues one
-transfer unit per idle link — true out-of-order striping.
+3. dispatches: asks the scoreboard for the ready set and issues one
+   transfer unit to each idle link under the configured arbitration —
+   true out-of-order striping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..errors import TransferError
 from ..transfer import NetworkLink, TransferUnit
-from ..transfer.streams import Stream, StreamEngine
+from ..transfer.streams import StreamEngine
 from .scoreboard import IssueItem, ItemState, Scoreboard
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,8 +38,8 @@ __all__ = ["LinkOutage", "LinkChannel", "IssueEngine"]
 
 _EPSILON = 1e-6
 
-#: How an engine picks the link for a ready grain.
-LINK_CHOICES = ("earliest_finish", "round_robin", "least_loaded")
+#: How an engine picks the link for a ready unit.
+LINK_CHOICES = ("earliest_finish", "round_robin")
 
 
 @dataclass(frozen=True)
@@ -82,15 +68,10 @@ class LinkOutage:
 class LinkChannel:
     """One link plus its private stream engine and liveness flag."""
 
-    def __init__(
-        self,
-        index: int,
-        link: NetworkLink,
-        max_streams: Optional[int],
-    ) -> None:
+    def __init__(self, index: int, link: NetworkLink) -> None:
         self.index = index
         self.link = link
-        self.engine = StreamEngine(link, max_streams=max_streams)
+        self.engine = StreamEngine(link, max_streams=1)
         self.alive = True
         #: Event/metric label; the index disambiguates identical links.
         self.label = f"{index}:{link.name}"
@@ -103,53 +84,35 @@ class IssueEngine:
 
     Args:
         links: The link set (1+ links, possibly heterogeneous).
-        scoreboard: Pre-populated scoreboard of issue grains.
-        grain: ``"stream"`` (whole in-order streams, processor-shared
-            per link) or ``"unit"`` (one unit per idle link).
-        link_choice: Arbitration among candidate links —
-            ``"earliest_finish"`` (fastest link for the grain, i.e.
-            weighted by bandwidth), ``"round_robin"``, or
-            ``"least_loaded"`` (fewest remaining bytes; the stream
-            grain's default).
-        max_streams: Per-link concurrent stream cap for the stream
-            grain (unit grain always runs one stream per link).
-        outages: Scheduled link deaths (unit grain only).
+        scoreboard: Pre-populated scoreboard of issue items.
+        link_choice: Arbitration among idle links —
+            ``"earliest_finish"`` (fastest link for the unit, i.e.
+            weighted by bandwidth) or ``"round_robin"``.
+        outages: Scheduled link deaths.
         recorder: Optional trace recorder for ``unit_issued`` /
             ``link_busy`` / ``stripe_rebalance`` events.
         metrics: Optional registry for the ``sched_*`` metric
             families.
-        on_issue: Optional hook invoked after every dispatch (the
-            striped controller uses it for ``schedule_decision``
-            events).
     """
 
     def __init__(
         self,
         links: Sequence[NetworkLink],
         scoreboard: Scoreboard,
-        grain: str = "unit",
         link_choice: str = "earliest_finish",
-        max_streams: Optional[int] = None,
         outages: Sequence[LinkOutage] = (),
         recorder: Optional["TraceRecorder"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        on_issue: Optional[
-            Callable[[IssueItem, "LinkChannel"], None]
-        ] = None,
     ) -> None:
         if not links:
             raise TransferError("IssueEngine needs at least one link")
-        if grain not in ("stream", "unit"):
-            raise TransferError(f"unknown issue grain {grain!r}")
         if link_choice not in LINK_CHOICES:
             raise TransferError(
                 f"unknown link choice {link_choice!r}; "
                 f"known: {LINK_CHOICES}"
             )
-        per_link = max_streams if grain == "stream" else 1
         self.channels = [
-            LinkChannel(index, link, per_link)
-            for index, link in enumerate(links)
+            LinkChannel(index, link) for index, link in enumerate(links)
         ]
         for outage in outages:
             if outage.link_index >= len(self.channels):
@@ -157,20 +120,13 @@ class IssueEngine:
                     f"outage references link {outage.link_index}, "
                     f"but only {len(self.channels)} links exist"
                 )
-        if outages and grain == "stream":
-            raise TransferError(
-                "link outages require a unit-grain policy"
-            )
         self.scoreboard = scoreboard
-        self.grain = grain
         self.link_choice = link_choice
         self.recorder = recorder
         self.metrics = metrics
         self.time = 0.0
         #: Unit → *retire* time: what the co-simulator observes.
         self.arrival_times: Dict[TransferUnit, float] = {}
-        self._on_issue = on_issue
-        self._streams: Dict[str, Tuple[LinkChannel, Stream]] = {}
         self._outages: List[LinkOutage] = sorted(
             outages, key=lambda o: o.at_cycles
         )
@@ -196,8 +152,8 @@ class IssueEngine:
 
     @property
     def remaining_bytes(self) -> float:
-        """Undelivered bytes of grains already on live links
-        (matching the single-engine semantics: never-requested grains
+        """Undelivered bytes of units already on live links
+        (matching the single-engine semantics: never-requested units
         are not counted)."""
         return sum(
             ch.engine.remaining_bytes for ch in self._live()
@@ -264,42 +220,17 @@ class IssueEngine:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self) -> None:
-        """Issue every ready grain the arbitration allows right now."""
-        ready = self.scoreboard.ready_items(self._delivered_for)
+        """Issue the best ready units to the idle links, one each."""
+        ready = self.scoreboard.ready_items()
         if not ready:
             return
-        if self.grain == "stream":
-            for item in ready:
-                self._issue(item, self._choose(item, self._live()),
-                            front=item.escalated)
-        else:
-            free = [ch for ch in self._live() if ch.engine.idle]
-            for item in ready:
-                if not free:
-                    break
-                channel = self._choose(item, free)
-                free.remove(channel)
-                self._issue(item, channel)
-
-    def demand_issue(self, label: str) -> None:
-        """Demand-fetch correction: put an unissued grain on the wire
-        now, at the front of any queue (stream grain), or at the top
-        of the next arbitration round (unit grain)."""
-        item = self.scoreboard.items[label]
-        if item.state not in (ItemState.WAITING, ItemState.READY):
-            return
-        self.scoreboard.escalate(label)
-        if self.grain == "stream":
-            self._issue(item, self._choose(item, self._live()),
-                        front=True)
-        else:
-            self.dispatch()
-
-    def stream_of(
-        self, label: str
-    ) -> Optional[Tuple[LinkChannel, Stream]]:
-        """The channel and live stream a grain issued on, if any."""
-        return self._streams.get(label)
+        free = [ch for ch in self._live() if ch.engine.idle]
+        for item in ready:
+            if not free:
+                break
+            channel = self._choose(item, free)
+            free.remove(channel)
+            self._issue(item, channel)
 
     def rebalance_event(self, reason: str, **extra: object) -> None:
         """Emit one ``stripe_rebalance`` event + metric."""
@@ -322,13 +253,6 @@ class IssueEngine:
             )
         return channels
 
-    def _delivered_for(self, item: IssueItem) -> float:
-        total = 0.0
-        for name in item.watermark_classes:
-            for ch in self.channels:
-                total += ch.engine.delivered_per_stream.get(name, 0.0)
-        return total
-
     def _choose(
         self, item: IssueItem, candidates: List[LinkChannel]
     ) -> LinkChannel:
@@ -343,12 +267,7 @@ class IssueEngine:
                     self._rr_cursor = index + 1
                     return channel
             return candidates[0]  # pragma: no cover - candidates ⊆ channels
-        if self.link_choice == "least_loaded":
-            return min(
-                candidates,
-                key=lambda ch: (ch.engine.remaining_bytes, ch.index),
-            )
-        # earliest_finish: the link that would land this grain first
+        # earliest_finish: the link that would land this unit first
         # (idle candidates ⇒ weighted by bandwidth).
         return min(
             candidates,
@@ -358,16 +277,11 @@ class IssueEngine:
             ),
         )
 
-    def _issue(
-        self, item: IssueItem, channel: LinkChannel, front: bool = False
-    ) -> None:
-        stream = channel.engine.request_stream(
-            item.label, item.units, front=front
-        )
+    def _issue(self, item: IssueItem, channel: LinkChannel) -> None:
+        channel.engine.request_stream(item.label, item.units)
         self.scoreboard.mark_issued(
             item.label, channel.index, self.time
         )
-        self._streams[item.label] = (channel, stream)
         if self.recorder is not None:
             self.recorder.unit_issued(
                 self.time,
@@ -387,8 +301,6 @@ class IssueEngine:
             ).inc(float(item.size))
             if item.escalated:
                 self.metrics.counter("sched_escalations_total").inc()
-        if self._on_issue is not None:
-            self._on_issue(item, channel)
 
     def _advance_one_boundary(
         self,
@@ -500,7 +412,6 @@ class IssueEngine:
                 if not remaining:
                     continue
                 self.scoreboard.requeue(label, remaining)
-                self._streams.pop(label, None)
                 lost.append(label)
             # The dead channel never advances again; drop its queued
             # work so facade-wide accounting stays honest.

@@ -3,16 +3,10 @@
 The scoreboard borrows the classic out-of-order processor structure
 (CDC 6600): transfer units play the role of instructions, network
 links play the role of functional units, and hazard edges play the
-role of data dependences.  Each :class:`IssueItem` is one *issue
-grain* — either a single transfer unit (multi-link striping) or a
-whole in-order stream (the 1-link fidelity modes) — and moves through
-``WAITING → READY → ISSUED → LANDED``:
+role of data dependences.  Each :class:`IssueItem` is one transfer
+unit and moves through ``READY → ISSUED → LANDED``:
 
-* ``WAITING``: a hazard still blocks issue — the item's byte
-  watermark (the greedy schedule's ``start_after_bytes`` trigger,
-  paper §5.1) has not been reached;
-* ``READY``: every issue hazard is clear; the arbiter may dispatch
-  the item to a link;
+* ``READY``: the arbiter may dispatch the item to a link;
 * ``ISSUED``: on the wire on one link;
 * ``LANDED``: every byte of the item has arrived.
 
@@ -34,23 +28,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransferError
-from ..transfer import TransferUnit
+from ..transfer import TransferUnit, UnitKind
 
-__all__ = ["ItemState", "IssueItem", "Scoreboard"]
-
-#: Slop applied to byte-watermark comparisons, matching the parallel
-#: controller's trigger tolerance exactly (required for 1-link
-#: equivalence).
-WATERMARK_SLOP = 1e-9
+__all__ = ["ItemState", "IssueItem", "Scoreboard", "unit_board"]
 
 
 class ItemState(enum.Enum):
-    """Where an issue grain is in its lifecycle."""
+    """Where an issue item is in its lifecycle."""
 
-    WAITING = "waiting"
     READY = "ready"
     ISSUED = "issued"
     LANDED = "landed"
@@ -58,21 +46,17 @@ class ItemState(enum.Enum):
 
 @dataclass
 class IssueItem:
-    """One issue grain: a unit (or in-order unit stream) plus hazards.
+    """One issue item: a transfer unit plus its arbitration priority.
 
     Attributes:
         label: Unique scoreboard key; doubles as the stream name on
             the link engine.
-        units: The grain's units, delivered strictly in this order.
+        units: The item's units, delivered strictly in this order (a
+            requeue after a link outage may shorten them).
         seq: Program-order sequence number (ties and sequence-ordered
             policies use it).
-        deadline: Cycles by which the grain should land (deadline
+        deadline: Cycles by which the item should land (deadline
             arbitration); ``math.inf`` when unconstrained.
-        watermark_bytes: Delivered-byte trigger: the item stays
-            ``WAITING`` until the watermark classes have delivered
-            this many bytes (0 = immediately ready).
-        watermark_classes: Stream labels whose delivered bytes count
-            toward the watermark.
         state: Current lifecycle state.
         escalated: Demand-fetch escalation flag; sorts before every
             deadline.
@@ -84,9 +68,7 @@ class IssueItem:
     units: Tuple[TransferUnit, ...]
     seq: int
     deadline: float = math.inf
-    watermark_bytes: float = 0.0
-    watermark_classes: Tuple[str, ...] = ()
-    state: ItemState = ItemState.WAITING
+    state: ItemState = ItemState.READY
     escalated: bool = False
     channel: Optional[int] = None
     issue_time: Optional[float] = None
@@ -97,7 +79,7 @@ class IssueItem:
 
     @property
     def size(self) -> int:
-        """Total wire bytes of the grain."""
+        """Total wire bytes of the item."""
         return sum(unit.size for unit in self.units)
 
     @property
@@ -116,7 +98,7 @@ class IssueItem:
 
 @dataclass
 class Scoreboard:
-    """Tracks every issue grain's state and every unit's hazards.
+    """Tracks every issue item's state and every unit's hazards.
 
     The scoreboard is pure bookkeeping: it never touches a link.  The
     :class:`~repro.sched.engine.IssueEngine` asks it which items are
@@ -136,7 +118,7 @@ class Scoreboard:
     # -- construction ------------------------------------------------------
 
     def add_item(self, item: IssueItem) -> None:
-        """Register one issue grain.
+        """Register one issue item.
 
         Raises:
             TransferError: On a duplicate label or a unit already
@@ -178,19 +160,23 @@ class Scoreboard:
     def item_for_unit(self, unit: TransferUnit) -> IssueItem:
         return self.items[self.label_of(unit)]
 
+    def retire_deps(self, unit: TransferUnit) -> Tuple[TransferUnit, ...]:
+        """The units ``unit`` must wait for before it retires."""
+        return self._unit_deps.get(unit, ())
+
     def unissued_bytes(self) -> float:
-        """Bytes of grains not yet dispatched to any link."""
+        """Bytes of items not yet dispatched to any link."""
         return float(
             sum(
                 item.size
                 for item in self.items.values()
-                if item.state in (ItemState.WAITING, ItemState.READY)
+                if item.state is ItemState.READY
             )
         )
 
     @property
     def outstanding(self) -> bool:
-        """True while any grain has not fully landed."""
+        """True while any item has not fully landed."""
         return any(
             item.state is not ItemState.LANDED
             for item in self.items.values()
@@ -198,27 +184,13 @@ class Scoreboard:
 
     # -- state transitions -------------------------------------------------
 
-    def ready_items(
-        self, delivered: Callable[[IssueItem], float]
-    ) -> List[IssueItem]:
-        """Promote watermark-satisfied items and list the ready set.
-
-        Args:
-            delivered: Callback returning the bytes delivered so far
-                for an item's watermark classes (summed across links).
-
-        Returns:
-            Every ``READY`` item, best-priority first.
-        """
-        ready: List[IssueItem] = []
-        for item in self.items.values():
-            if item.state is ItemState.WAITING:
-                if item.watermark_bytes <= (
-                    delivered(item) + WATERMARK_SLOP
-                ):
-                    item.state = ItemState.READY
-            if item.state is ItemState.READY:
-                ready.append(item)
+    def ready_items(self) -> List[IssueItem]:
+        """Every ``READY`` item, best-priority first."""
+        ready = [
+            item
+            for item in self.items.values()
+            if item.state is ItemState.READY
+        ]
         ready.sort(key=IssueItem.priority_key)
         return ready
 
@@ -226,23 +198,20 @@ class Scoreboard:
         """Escalate an unlanded item's priority (demand correction).
 
         Returns:
-            True if the item was newly escalated (it was waiting,
-            ready, or in flight and not yet flagged).
+            True if the item was newly escalated (it was ready or in
+            flight and not yet flagged).
         """
         item = self.items[label]
         if item.state is ItemState.LANDED or item.escalated:
             return False
         item.escalated = True
-        if item.state is ItemState.WAITING:
-            # A demand fetch overrides the byte watermark outright.
-            item.state = ItemState.READY
         return True
 
     def mark_issued(
         self, label: str, channel: int, time: float
     ) -> None:
         item = self.items[label]
-        if item.state not in (ItemState.WAITING, ItemState.READY):
+        if item.state is not ItemState.READY:
             raise TransferError(
                 f"cannot issue item {label!r} in state {item.state}"
             )
@@ -309,3 +278,47 @@ class Scoreboard:
             if all(u in self.land_times for u in item.units):
                 item.state = ItemState.LANDED
         return retired
+
+
+def unit_board(
+    units: Sequence[TransferUnit],
+    deadlines: Optional[Sequence[float]] = None,
+) -> Scoreboard:
+    """One issue item per unit, plus the class retire hazards.
+
+    Item ``seq`` is the unit's position in ``units`` and its label is
+    ``"{seq}:{class}.{method or kind}"``.  A class's first global unit
+    (``GLOBAL_DATA`` or ``GLOBAL_FIRST``) is a retire dependency of
+    every other unit of the class: nothing of a class is usable before
+    its global data, so landings may happen out of order.
+
+    Args:
+        units: Transfer units in sequence order.
+        deadlines: Per-unit deadlines for deadline arbitration;
+            ``None`` leaves every deadline at ``math.inf``.
+    """
+    leading: Dict[str, TransferUnit] = {}
+    for unit in units:
+        if unit.kind in (UnitKind.GLOBAL_DATA, UnitKind.GLOBAL_FIRST):
+            leading.setdefault(unit.class_name, unit)
+    board = Scoreboard()
+    for seq, unit in enumerate(units):
+        tail = (
+            unit.method.method_name
+            if unit.method is not None
+            else unit.kind.value
+        )
+        board.add_item(
+            IssueItem(
+                label=f"{seq}:{unit.class_name}.{tail}",
+                units=(unit,),
+                seq=seq,
+                deadline=(
+                    deadlines[seq] if deadlines is not None else math.inf
+                ),
+            )
+        )
+        lead = leading.get(unit.class_name)
+        if lead is not None and unit is not lead:
+            board.add_unit_dep(unit, lead)
+    return board

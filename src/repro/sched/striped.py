@@ -3,20 +3,10 @@
 :class:`StripedController` plugs into the co-simulator exactly like
 the paper's parallel and interleaved controllers, but builds a
 multi-link :class:`~repro.sched.engine.IssueEngine` instead of a
-single :class:`~repro.transfer.streams.StreamEngine`.  Five
-arbitration policies are supported:
+single :class:`~repro.transfer.streams.StreamEngine`.  Every policy
+issues one transfer unit per idle link; three arbitration policies are
+supported:
 
-* ``"parallel"`` — the §5.1 methodology verbatim: per-class stream
-  grains gated by the greedy schedule's byte watermarks, demand-fetch
-  correction at the queue front.  On one link this is byte-for-byte
-  equivalent to :class:`~repro.transfer.ParallelController` (the
-  identical request sequence reaches an identical engine); on several
-  links streams spread across them least-loaded-first.
-* ``"interleaved"`` — the §5.2 methodology: on one link the entire
-  virtual interleaved file issues as a single stream grain
-  (byte-for-byte equivalent to
-  :class:`~repro.transfer.InterleavedController`); on several links
-  it degrades gracefully to sequence-ordered unit striping.
 * ``"deadline"`` — out-of-order unit striping, earliest deadline
   first: each unit's deadline is its method's predicted first-use
   time (``instructions_before × CPI``, the first-use order's
@@ -26,11 +16,12 @@ arbitration policies are supported:
 * ``"weighted"`` — sequence-ordered units, each issued to the link
   that lands it earliest (weighted by bandwidth).
 
-The native striping policies (deadline / round_robin / weighted)
-handle mispredictions by *hazard-priority escalation*: the stalled
-method's unit (and its class's global unit) jump to the top of the
-next arbitration round — the scoreboard's generalisation of §5.1's
-front-of-queue demand fetch.
+Mispredictions are handled by *hazard-priority escalation*: the
+stalled method's unit (and its class's global unit) jump to the top of
+the next arbitration round — the scoreboard's generalisation of §5.1's
+front-of-queue demand fetch.  The paper's single-link methodologies
+themselves are :class:`~repro.transfer.ParallelController` and
+:class:`~repro.transfer.InterleavedController`.
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ from ..transfer import (
     TransferUnit,
 )
 from ..transfer.interleaved import build_interleaved_file
-from ..transfer.schedule import TransferSchedule, build_schedule
 from ..transfer.streams import StreamEngine
 from ..transfer.units import (
     ClassTransferPlan,
@@ -56,8 +46,8 @@ from ..transfer.units import (
     UnitKind,
     build_program_plans,
 )
-from .engine import IssueEngine, LinkChannel, LinkOutage
-from .scoreboard import IssueItem, ItemState, Scoreboard
+from .engine import IssueEngine, LinkOutage
+from .scoreboard import unit_board
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.simulation import SimulationResult
@@ -73,17 +63,9 @@ __all__ = [
 ]
 
 #: The arbitration policies :class:`StripedController` accepts.
-POLICIES = (
-    "parallel",
-    "interleaved",
-    "deadline",
-    "round_robin",
-    "weighted",
-)
+POLICIES = ("deadline", "round_robin", "weighted")
 
 _LINK_CHOICE_OF_POLICY = {
-    "parallel": "least_loaded",
-    "interleaved": "earliest_finish",
     "deadline": "earliest_finish",
     "round_robin": "round_robin",
     "weighted": "earliest_finish",
@@ -161,7 +143,6 @@ class StripedController(TransferController):
         links: Sequence[NetworkLink],
         cpi: float,
         policy: str = "deadline",
-        max_streams: Optional[int] = None,
         data_partitioning: bool = False,
         outages: Sequence[LinkOutage] = (),
         escalate: bool = True,
@@ -184,109 +165,33 @@ class StripedController(TransferController):
         self.links: Tuple[NetworkLink, ...] = tuple(links)
         self.cpi = float(cpi)
         self.policy = policy
-        self.max_streams = max_streams
         self.escalate = escalate
         self.outages: Tuple[LinkOutage, ...] = tuple(outages)
         self.name = f"striped-{policy}x{len(self.links)}"
         self.plans: Dict[str, ClassTransferPlan] = build_program_plans(
             program, unit_policy
         )
-        self.schedule: Optional[TransferSchedule] = None
         self.demand_fetches: List[MethodId] = []
-        self._grain = "stream" if self._fidelity_mode() else "unit"
-        if self.outages and self._grain == "stream":
-            raise TransferError(
-                f"link outages are not supported by the "
-                f"{policy!r} policy on this link count"
-            )
         self._engine: Optional[IssueEngine] = None
-
-    def _fidelity_mode(self) -> bool:
-        """Stream-grain modes reproducing the paper controllers."""
-        if self.policy == "parallel":
-            return True
-        return self.policy == "interleaved" and len(self.links) == 1
-
-    # -- scoreboard construction ------------------------------------------
-
-    def _build_scoreboard(self) -> Scoreboard:
-        board = Scoreboard()
-        if self.policy == "parallel":
-            self.schedule = build_schedule(
-                self.program, self.plans, self.order,
-                self.links[0], self.cpi,
-            )
-            for seq, start in enumerate(self.schedule.in_start_order()):
-                plan = self.plans[start.class_name]
-                board.add_item(
-                    IssueItem(
-                        label=start.class_name,
-                        units=plan.units,
-                        seq=seq,
-                        watermark_bytes=start.start_after_bytes,
-                        watermark_classes=start.dependency_classes,
-                    )
-                )
-            return board
-        if self.policy == "interleaved" and len(self.links) == 1:
-            sequence = build_interleaved_file(self.plans, self.order)
-            board.add_item(
-                IssueItem(
-                    label="interleaved",
-                    units=tuple(sequence),
-                    seq=0,
-                )
-            )
-            return board
-        entries = striped_sequence(self.plans, self.order, self.cpi)
-        use_deadlines = self.policy == "deadline"
-        leading: Dict[str, TransferUnit] = {}
-        for entry in entries:
-            if entry.unit.kind in (
-                UnitKind.GLOBAL_DATA,
-                UnitKind.GLOBAL_FIRST,
-            ):
-                leading[entry.unit.class_name] = entry.unit
-        for entry in entries:
-            board.add_item(
-                IssueItem(
-                    label=self._unit_label(entry),
-                    units=(entry.unit,),
-                    seq=entry.seq,
-                    deadline=(
-                        entry.deadline if use_deadlines else math.inf
-                    ),
-                )
-            )
-            lead = leading.get(entry.unit.class_name)
-            if lead is not None and entry.unit is not lead:
-                # Retire hazard: nothing of a class is usable before
-                # its global unit — the in-order stream invariant,
-                # made explicit so landings may happen out of order.
-                board.add_unit_dep(entry.unit, lead)
-        return board
-
-    @staticmethod
-    def _unit_label(entry: StripedEntry) -> str:
-        unit = entry.unit
-        if unit.method is not None:
-            tail = unit.method.method_name
-        else:
-            tail = unit.kind.value
-        return f"{entry.seq}:{unit.class_name}.{tail}"
 
     # -- controller interface ---------------------------------------------
 
     def build_engine(self, link: NetworkLink) -> StreamEngine:
+        entries = striped_sequence(self.plans, self.order, self.cpi)
+        board = unit_board(
+            [entry.unit for entry in entries],
+            (
+                [entry.deadline for entry in entries]
+                if self.policy == "deadline"
+                else None
+            ),
+        )
         engine = IssueEngine(
             self.links,
-            self._build_scoreboard(),
-            grain=self._grain,
+            board,
             link_choice=_LINK_CHOICE_OF_POLICY[self.policy],
-            max_streams=self.max_streams,
             outages=self.outages,
             recorder=self.recorder,
-            on_issue=self._on_issue,
         )
         self._engine = engine
         # The simulator's `link` argument is links[0]; the facade
@@ -317,68 +222,25 @@ class StripedController(TransferController):
 
     def on_stall(self, engine: StreamEngine, method_id: MethodId) -> None:
         issue_engine = self._issue_engine(engine)
-        if self.policy == "parallel":
-            self._parallel_stall(issue_engine, method_id)
-            return
-        if self._grain == "stream":
-            # 1-link interleaved: the whole file is already in
-            # flight, in order; nothing can be reordered.
-            return
-        if not self.escalate:
-            return
-        self._escalate_stall(issue_engine, method_id)
+        if self.escalate:
+            self._escalate_stall(issue_engine, method_id)
 
     # -- misprediction correction -----------------------------------------
-
-    def _parallel_stall(
-        self, engine: IssueEngine, method_id: MethodId
-    ) -> None:
-        """Mirror of the parallel controller's demand fetch."""
-        class_name = method_id.class_name
-        item = engine.scoreboard.items.get(class_name)
-        if item is None:
-            raise TransferError(
-                f"no transfer plan for class {class_name!r}"
-            )
-        if item.state in (ItemState.WAITING, ItemState.READY):
-            self.demand_fetches.append(method_id)
-            self._demand_event(engine, method_id)
-            engine.demand_issue(class_name)
-            return
-        entry = engine.stream_of(class_name)
-        if entry is not None:
-            channel, stream = entry
-            if not stream.started and not stream.done:
-                self.demand_fetches.append(method_id)
-                self._demand_event(engine, method_id)
-                channel.engine.promote(stream)
-                if self.recorder is not None:
-                    self.recorder.schedule_decision(
-                        engine.time,
-                        action="promote",
-                        target=class_name,
-                        reason="demand_fetch",
-                    )
 
     def _escalate_stall(
         self, engine: IssueEngine, method_id: MethodId
     ) -> None:
-        """Hazard-priority escalation for the native policies."""
+        """Hazard-priority escalation: the stalled method's unit and
+        the units it retires after jump the next arbitration round."""
         board = engine.scoreboard
         try:
             needed = self.required_unit(method_id)
         except TransferError:
             return
-        labels = [board.label_of(needed)]
-        plan = self.plans[method_id.class_name]
-        lead = plan.units[0]
-        if lead is not needed:
-            try:
-                labels.append(board.label_of(lead))
-            except TransferError:
-                pass
         escalated = [
-            label for label in labels if board.escalate(label)
+            unit
+            for unit in (needed, *board.retire_deps(needed))
+            if board.escalate(board.label_of(unit))
         ]
         if not escalated:
             return
@@ -409,21 +271,6 @@ class StripedController(TransferController):
             )
         return engine
 
-    def _on_issue(self, item: IssueItem, channel: LinkChannel) -> None:
-        if self.recorder is None:
-            return
-        if self.policy == "parallel" and self.schedule is not None:
-            start = self.schedule.start_for(item.label)
-            self.recorder.schedule_decision(
-                self._engine.time if self._engine is not None else 0.0,
-                action=(
-                    "demand_start" if item.escalated else "stream_start"
-                ),
-                target=item.label,
-                start_after_bytes=start.start_after_bytes,
-                required_prefix_bytes=start.required_prefix_bytes,
-            )
-
 
 def run_striped(
     program: Program,
@@ -432,7 +279,6 @@ def run_striped(
     links: Sequence[NetworkLink],
     cpi: float,
     policy: str = "deadline",
-    max_streams: Optional[int] = None,
     data_partitioning: bool = False,
     outages: Sequence[LinkOutage] = (),
     escalate: bool = True,
@@ -462,7 +308,6 @@ def run_striped(
         links,
         cpi,
         policy=policy,
-        max_streams=max_streams,
         data_partitioning=data_partitioning,
         outages=outages,
         escalate=escalate,

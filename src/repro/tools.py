@@ -324,15 +324,20 @@ def _cmd_interproc(arguments) -> int:
 
 
 def _cmd_simulate(arguments) -> int:
-    program = load_program(arguments.directory)
-    trace = load_trace(arguments.trace)
-    link = _LINKS[arguments.link]
-    if arguments.loss:
-        link = lossy_link(
-            link,
+    if arguments.links and arguments.streams is not None:
+        raise ReproError("--streams does not apply to --links striping")
+
+    def lossy(one):
+        return lossy_link(
+            one,
             arguments.loss,
             retransmit_penalty_cycles=arguments.retransmit_penalty,
         )
+
+    program = load_program(arguments.directory)
+    trace = load_trace(arguments.trace)
+    link = lossy(_LINKS[arguments.link])
+    if arguments.loss:
         print(
             f"lossy link:        {link.name} "
             f"({link.cycles_per_byte:,.0f} cycles/byte effective)"
@@ -342,7 +347,7 @@ def _cmd_simulate(arguments) -> int:
     if arguments.links:
         from .sched import run_striped
 
-        links = _parse_links(arguments.links)
+        links = [lossy(one) for one in _parse_links(arguments.links)]
         result = run_striped(
             program,
             trace,
@@ -350,7 +355,6 @@ def _cmd_simulate(arguments) -> int:
             links,
             arguments.cpi,
             policy=arguments.sched_policy,
-            max_streams=arguments.streams,
             data_partitioning=arguments.partition,
         )
         print(
@@ -932,7 +936,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("interleaved", "parallel"),
         default="interleaved",
     )
-    simulate.add_argument("--streams", type=int, default=None)
+    simulate.add_argument(
+        "--streams",
+        type=int,
+        default=None,
+        help="concurrent stream cap for --method parallel (not valid "
+        "with --links)",
+    )
     simulate.add_argument("--partition", action="store_true")
     simulate.add_argument(
         "--engine",
@@ -953,14 +963,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--sched-policy",
         choices=_SCHED_POLICIES,
         default="deadline",
-        help="arbitration policy for --links striping",
+        help="arbitration policy for --links striping: deadline "
+        "(earliest predicted first use), round_robin, or weighted "
+        "(fastest link first)",
     )
     simulate.add_argument(
         "--loss",
         type=float,
         default=0.0,
         help="per-packet loss probability in [0, 1) applied to the "
-        "link (expected-value retransmission model)",
+        "link and to every --links link (expected-value "
+        "retransmission model)",
     )
     simulate.add_argument(
         "--retransmit-penalty",

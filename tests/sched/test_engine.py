@@ -51,19 +51,10 @@ def test_engine_validates_configuration():
     with pytest.raises(TransferError):
         IssueEngine((), board)
     with pytest.raises(TransferError):
-        IssueEngine((SLOW,), board, grain="byte")
-    with pytest.raises(TransferError):
         IssueEngine((SLOW,), board, link_choice="random")
     with pytest.raises(TransferError):
         IssueEngine(
             (SLOW,), board, outages=(LinkOutage(1.0, link_index=5),)
-        )
-    with pytest.raises(TransferError):
-        IssueEngine(
-            (SLOW,),
-            board,
-            grain="stream",
-            outages=(LinkOutage(1.0, link_index=0),),
         )
     with pytest.raises(TransferError):
         LinkOutage(-1.0, 0)
@@ -74,7 +65,7 @@ def test_engine_validates_configuration():
 def test_two_links_land_units_concurrently():
     a, b = _global("A"), _global("B")
     board = _board(a, b)
-    engine = IssueEngine((SLOW, SLOW), board, grain="unit")
+    engine = IssueEngine((SLOW, SLOW), board)
     engine.dispatch()
     engine.run_until_unit(a)
     # Both units went out simultaneously on separate links, so both
@@ -92,7 +83,7 @@ def test_retire_gated_by_cross_link_dependency():
     board.add_item(IssueItem(label="g", units=(g,), seq=0))
     board.add_item(IssueItem(label="m", units=(m,), seq=1))
     board.add_unit_dep(m, g)
-    engine = IssueEngine((SLOW, SLOW), board, grain="unit")
+    engine = IssueEngine((SLOW, SLOW), board)
     engine.dispatch()
     arrival = engine.run_until_unit(m)
     # The method landed out of order but retired with its global data.
@@ -104,9 +95,7 @@ def test_link_choice_policies_pick_different_links():
     def build(choice):
         a, b = _global("A", 5000), _global("B", 100)
         board = _board(a, b)
-        engine = IssueEngine(
-            (SLOW, FAST), board, grain="unit", link_choice=choice
-        )
+        engine = IssueEngine((SLOW, FAST), board, link_choice=choice)
         engine.dispatch()
         return {board.items[l].label: board.items[l].channel
                 for l in ("u0", "u1")}
@@ -115,22 +104,12 @@ def test_link_choice_policies_pick_different_links():
     # fast link; round_robin starts at link 0 (the slow one).
     assert build("earliest_finish") == {"u0": 1, "u1": 0}
     assert build("round_robin") == {"u0": 0, "u1": 1}
-    assert build("least_loaded") == {"u0": 0, "u1": 1}
 
 
 def test_idle_engine_with_unreachable_unit_raises():
-    unit = _global("A")
-    board = Scoreboard()
-    board.add_item(
-        IssueItem(
-            label="never",
-            units=(unit,),
-            seq=0,
-            watermark_bytes=1e12,
-            watermark_classes=("ghost",),
-        )
-    )
-    engine = IssueEngine((SLOW,), board, grain="unit")
+    board = _board(_global("A"))
+    unit = _global("ghost")  # never put on the board
+    engine = IssueEngine((SLOW,), board)
     with pytest.raises(TransferError, match="never arrived"):
         engine.run_until_unit(unit)
 
@@ -144,7 +123,6 @@ def test_outage_requeues_and_completes():
     engine = IssueEngine(
         (SLOW, SLOW),
         board,
-        grain="unit",
         outages=(LinkOutage(outage_at, link_index=1),),
         recorder=recorder,
         metrics=metrics,
@@ -169,7 +147,6 @@ def test_all_links_down_raises():
     engine = IssueEngine(
         (SLOW, SLOW),
         board,
-        grain="unit",
         outages=(
             LinkOutage(10.0, link_index=0),
             LinkOutage(20.0, link_index=1),
@@ -188,7 +165,7 @@ def test_events_and_metrics_emitted():
     metrics = MetricsRegistry()
     links = links_from_bandwidths((57_600, 28_800))
     engine = IssueEngine(
-        links, board, grain="unit", recorder=recorder, metrics=metrics
+        links, board, recorder=recorder, metrics=metrics
     )
     engine.dispatch()
     engine.run_until_unit(a)

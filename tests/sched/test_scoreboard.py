@@ -56,31 +56,13 @@ def test_lifecycle_and_unissued_bytes():
     board, g, m = _board()
     assert board.unissued_bytes() == 150.0
     assert board.outstanding
-    ready = board.ready_items(lambda item: 0.0)
+    ready = board.ready_items()
     assert [item.label for item in ready] == ["g", "m"]
     board.mark_issued("g", channel=0, time=1.0)
     assert board.items["g"].state is ItemState.ISSUED
     assert board.unissued_bytes() == 50.0
     with pytest.raises(TransferError):
         board.mark_issued("g", channel=1, time=2.0)
-
-
-def test_watermark_gates_readiness():
-    board = Scoreboard()
-    unit = _global("A")
-    board.add_item(
-        IssueItem(
-            label="late",
-            units=(unit,),
-            seq=0,
-            watermark_bytes=500.0,
-            watermark_classes=("other",),
-        )
-    )
-    assert board.ready_items(lambda item: 100.0) == []
-    assert board.items["late"].state is ItemState.WAITING
-    ready = board.ready_items(lambda item: 500.0)
-    assert [item.label for item in ready] == ["late"]
 
 
 def test_retire_cascade_waits_for_dependencies():
@@ -119,8 +101,6 @@ def test_escalation_overrides_watermark_and_priority():
             units=(_global("A"),),
             seq=5,
             deadline=9000.0,
-            watermark_bytes=1e9,
-            watermark_classes=("x",),
         )
     )
     board.add_item(
@@ -130,7 +110,7 @@ def test_escalation_overrides_watermark_and_priority():
     )
     assert board.escalate("urgent") is True
     assert board.escalate("urgent") is False  # already escalated
-    ready = board.ready_items(lambda item: 0.0)
+    ready = board.ready_items()
     # Escalation beats every deadline.
     assert [item.label for item in ready] == ["urgent", "early"]
 

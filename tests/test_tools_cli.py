@@ -123,6 +123,37 @@ def test_simulate_striped_links(stored, capsys):
     assert "policy deadline" in out
 
 
+def _non_strict_total(out):
+    line = next(
+        line for line in out.splitlines()
+        if line.startswith("non-strict total:")
+    )
+    return float(line.split(":")[1].split()[0].replace(",", ""))
+
+
+def test_simulate_loss_slows_striped_links(stored, capsys):
+    directory, trace = stored
+    args = ["simulate", directory, trace, "--links", "modem,modem",
+            "--cpi", "50"]
+    assert main(args) == 0
+    clean = _non_strict_total(capsys.readouterr().out)
+    lossy = args + ["--loss", "0.2", "--retransmit-penalty", "1000000"]
+    assert main(lossy) == 0
+    out = capsys.readouterr().out
+    assert "modem+loss0.2, modem+loss0.2" in out
+    assert _non_strict_total(out) > clean
+
+
+def test_simulate_rejects_streams_with_links(stored, capsys):
+    directory, trace = stored
+    assert (
+        main(["simulate", directory, trace, "--links", "modem,modem",
+              "--streams", "2"])
+        == 2
+    )
+    assert "--streams" in capsys.readouterr().err
+
+
 def test_simulate_engine_ab_identical(stored, capsys):
     """--engine batched prints exactly what --engine reference does."""
     directory, trace = stored
